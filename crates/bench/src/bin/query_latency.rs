@@ -17,8 +17,9 @@
 //! 5. **hierarchy rollup (sorted entries)** —
 //!    [`FlowTable::query_all_entries`], the same rollup in its native
 //!    sorted-entry shape (what the HHH task consumes), which never
-//!    builds a per-level hash table. This is the headline
-//!    `rollup_speedup`.
+//!    builds a hash table: the /32 root is a sort-based GROUP BY on
+//!    integer key images ([`FlowTable::entries_by`]). This is the
+//!    headline `rollup_speedup`.
 //!
 //! Every path is asserted bit-identical to the per-spec baseline before
 //! any number is reported. Output is one JSON document, printed to

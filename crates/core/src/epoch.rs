@@ -60,18 +60,37 @@ impl Epoch {
 
 /// Encode a sealed epoch for export (see the module docs for layout).
 pub fn encode(epoch: &Epoch) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN);
+    let mut out = Vec::with_capacity(encoded_len(epoch));
+    encode_into(epoch, &mut out);
+    out
+}
+
+/// Length in bytes of [`encode`]'s output for `epoch`.
+pub fn encoded_len(epoch: &Epoch) -> usize {
+    HEADER_LEN
+        + epoch
+            .tables
+            .iter()
+            .map(|table| 4 + snapshot::encoded_len(table))
+            .sum::<usize>()
+}
+
+/// Append [`encode`]'s bytes for `epoch` to `out`, writing every table
+/// in place rather than through a buffer of its own.
+pub fn encode_into(epoch: &Epoch, out: &mut Vec<u8>) {
     out.extend_from_slice(EPOCH_MAGIC);
     out.extend_from_slice(&epoch.id.to_le_bytes());
     out.extend_from_slice(&epoch.packets.to_le_bytes());
     out.extend_from_slice(&epoch.weight.to_le_bytes());
     out.extend_from_slice(&(epoch.tables.len() as u32).to_le_bytes());
     for table in &epoch.tables {
-        let bytes = snapshot::encode(table);
-        out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-        out.extend_from_slice(&bytes);
+        // The length prefix is the count of bytes actually written.
+        let at = out.len();
+        out.extend_from_slice(&[0; 4]);
+        snapshot::encode_into(table, out);
+        let len = (out.len() - at - 4) as u32;
+        out[at..at + 4].copy_from_slice(&len.to_le_bytes()); // LINT: bounded(four bytes were pushed at `at` above, so at + 4 <= out.len())
     }
-    out
 }
 
 /// Decode an exported epoch. Returns `Err` (never panics) on
@@ -532,6 +551,35 @@ mod tests {
         let back = decode(&encode(&epoch)).unwrap();
         assert_eq!(back, epoch);
         assert_eq!(back.primary().rows(), epoch.tables[0].rows());
+    }
+
+    #[test]
+    fn encode_writes_the_documented_layout_in_one_buffer() {
+        let epoch = Epoch {
+            id: 9,
+            packets: 30,
+            weight: 70,
+            tables: vec![table(40, 3), FlowTable::new(KeySpec::SRC_IP, vec![])],
+        };
+        // The layout from the module docs, assembled table by table.
+        let mut want = EPOCH_MAGIC.to_vec();
+        for word in [epoch.id, epoch.packets, epoch.weight] {
+            want.extend_from_slice(&word.to_le_bytes());
+        }
+        want.extend_from_slice(&2u32.to_le_bytes());
+        for t in &epoch.tables {
+            let bytes = snapshot::encode(t);
+            want.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+            want.extend_from_slice(&bytes);
+        }
+        let got = encode(&epoch);
+        assert_eq!(got, want);
+        assert_eq!(encoded_len(&epoch), got.len());
+        assert_eq!(got.capacity(), got.len(), "sized once, never regrown");
+        // Appending keeps what the buffer already held.
+        let mut framed = vec![0xAB];
+        encode_into(&epoch, &mut framed);
+        assert_eq!((framed[0], &framed[1..]), (0xAB, got.as_slice()));
     }
 
     #[test]

@@ -43,12 +43,20 @@
 //!   monotone in key-byte order, so each level is a linear adjacent
 //!   merge and hashing is paid only to materialize each level's result
 //!   map (once per output group, not once per row per level).
+//! - **Sort-based GROUP BY** ([`FlowTable::entries_by`]): every
+//!   sorted answer — the roots of [`FlowTable::query_all_entries`] and
+//!   each served partial-key answer — projects each row once to a
+//!   `(u128, u64)` pair (the key's big-endian integer image,
+//!   [`KeyBytes::sort_key`]), sorts on the integer, and sums adjacent
+//!   equal keys. No hash table is built, and a comparison is one
+//!   128-bit compare instead of a slice `memcmp`.
 //! - **Parallel scan** ([`FlowTable::query_multi_parallel`]): large
 //!   tables chunk their rows across worker threads (the crate
 //!   `engine`'s scoped-worker shape), aggregate into thread-local maps,
 //!   and merge by addition. Integer sums are associative and
 //!   commutative, so the merged result is exact and independent of
-//!   chunking and scheduling.
+//!   chunking and scheduling. Only the map-shaped
+//!   [`FlowTable::query_all`] uses it.
 
 use hashkit::{fast_map_with_capacity, invariant, FastMap};
 use traffic::{KeyBytes, KeySpec, Projector};
@@ -143,6 +151,49 @@ impl FlowTable {
             *out.entry(scratch).or_insert(0) += size;
         }
         out
+    }
+
+    /// `SELECT g(k_F), SUM(Size) GROUP BY g(k_F)` for one compiled
+    /// projection, as **key-sorted entries**: exactly the pairs of
+    /// [`query_partial`](Self::query_partial), sorted by lexicographic
+    /// key bytes.
+    ///
+    /// The aggregation is a sort, not a hash map: each row is projected
+    /// once to its key's integer image ([`KeyBytes::sort_key`]), the
+    /// `(image, size)` pairs are sorted on the integer, and adjacent
+    /// equal images are summed. Every projected key has the projector's
+    /// [`out_len`](Projector::out_len), and for keys of one length
+    /// integer order is byte order, so the output order is the
+    /// lexicographic one every sorted answer is contracted to.
+    ///
+    /// `proj` must compile a partial key of this table's full key (as
+    /// [`KeySpec::projector`] from [`full_spec`](Self::full_spec)
+    /// does); callers that hold a cached projector pass it here to skip
+    /// recompiling.
+    pub fn entries_by(&self, proj: &Projector) -> Vec<(KeyBytes, u64)> {
+        let mut scratch = KeyBytes::EMPTY;
+        let mut images: Vec<(u128, u64)> = self
+            .rows
+            .iter()
+            .map(|(full_key, size)| {
+                proj.project_into(full_key, &mut scratch);
+                (scratch.sort_key(), *size)
+            })
+            .collect();
+        images.sort_unstable_by_key(|&(image, _)| image);
+        images.dedup_by(|cur, acc| {
+            if cur.0 == acc.0 {
+                acc.1 += cur.1;
+                true
+            } else {
+                false
+            }
+        });
+        let len = proj.out_len();
+        images
+            .into_iter()
+            .map(|(image, size)| (KeyBytes::from_sort_key(image, len), size))
+            .collect()
     }
 
     /// Answer every spec in **one pass** over the rows: each row is
@@ -344,7 +395,7 @@ impl FlowTable {
         let is_root: Vec<bool> = specs
             .iter()
             .enumerate()
-            .map(|(i, spec)| !(0..i).any(|j| spec.is_partial_of(&specs[j]))) // LINT: bounded(j < i <= specs.len())
+            .map(|(i, spec)| Self::is_root(specs, i, spec))
             .collect();
         let root_specs: Vec<KeySpec> = specs
             .iter()
@@ -353,6 +404,15 @@ impl FlowTable {
             .map(|(s, _)| *s)
             .collect();
         (is_root, root_specs)
+    }
+
+    /// True when `spec`, at position `i` of `specs`, is a partial key
+    /// of no spec before it.
+    fn is_root(specs: &[KeySpec], i: usize, spec: &KeySpec) -> bool {
+        !specs
+            .iter()
+            .take(i)
+            .any(|earlier| spec.is_partial_of(earlier))
     }
 
     /// Answer the root specs of a rollup, one scan per spec (chunked
@@ -395,9 +455,11 @@ impl FlowTable {
     }
 
     /// Sort entries by lexicographic key bytes — the order every rollup
-    /// level is kept in.
+    /// level is kept in. Every caller sorts keys of one spec, so all
+    /// keys share one length and their integer images
+    /// ([`KeyBytes::sort_key`]) order them exactly as their bytes do.
     fn sort_entries(rows: &mut [(KeyBytes, u64)]) {
-        rows.sort_unstable_by(|a, b| a.0.as_slice().cmp(b.0.as_slice()));
+        rows.sort_unstable_by_key(|(key, _)| key.sort_key());
     }
 
     /// One rollup step: project the parent's sorted entries and merge
@@ -428,34 +490,20 @@ impl FlowTable {
     /// This is the natural output shape of the rollup (levels are
     /// produced as sorted runs) and the natural input shape for
     /// hierarchy consumers (HHH threshold filters, reports), so no
-    /// per-level hash table is ever materialized: for fine prefix
-    /// levels — whose group count approaches the row count — that skips
-    /// the single most expensive step of the map-shaped query, one
-    /// hash-table insert per output group. Entries are sorted by
-    /// lexicographic key bytes and contain exactly the pairs of
+    /// hash table is ever materialized: roots are aggregated by the
+    /// sort-based [`entries_by`](Self::entries_by), single-threaded,
+    /// and every other level rolls up linearly from its parent's
+    /// sorted run. Entries are sorted by lexicographic key bytes and
+    /// contain exactly the pairs of
     /// [`query_partial`](Self::query_partial) for the same spec.
     ///
     /// # Panics
     /// Panics if any spec is not a partial key of the table's full key.
-    pub fn query_rollup_entries(
-        &self,
-        specs: &[KeySpec],
-        threads: usize,
-    ) -> Vec<Vec<(KeyBytes, u64)>> {
-        let (is_root, root_specs) = Self::split_roots(specs);
-        let mut root_maps = self.root_results(&root_specs, threads).into_iter();
-
+    pub fn query_rollup_entries(&self, specs: &[KeySpec]) -> Vec<Vec<(KeyBytes, u64)>> {
         let mut out: Vec<Vec<(KeyBytes, u64)>> = Vec::with_capacity(specs.len());
         for (i, spec) in specs.iter().enumerate() {
-            // LINT: bounded(i < specs.len() = is_root.len())
-            if is_root[i] {
-                let mut rows: Vec<(KeyBytes, u64)> = root_maps
-                    .next()
-                    .unwrap_or_else(|| invariant::violated("one root result per root spec"))
-                    .into_iter()
-                    .collect();
-                Self::sort_entries(&mut rows);
-                out.push(rows);
+            if Self::is_root(specs, i, spec) {
+                out.push(self.entries_by(&self.compile(spec)));
                 continue;
             }
             let parent = Self::best_parent(specs, i, |j| out[j].len()); // LINT: bounded(best_parent yields j < i = out.len())
@@ -481,7 +529,7 @@ impl FlowTable {
     /// path for hierarchy workloads, where per-level hash maps would be
     /// built only to be iterated once.
     pub fn query_all_entries(&self, specs: &[KeySpec]) -> Vec<Vec<(KeyBytes, u64)>> {
-        self.query_rollup_entries(specs, self.auto_threads())
+        self.query_rollup_entries(specs)
     }
 
     /// Scan threads for [`query_all`](Self::query_all): 1 for small
@@ -762,11 +810,99 @@ mod tests {
     }
 
     /// `query_partial` reshaped to the sorted-entry contract of
-    /// `query_rollup_entries`.
+    /// `query_rollup_entries`: the independent oracle for every sorted
+    /// answer (a hash-map GROUP BY plus a slice `memcmp` sort, sharing
+    /// no code with the sort-based kernel).
     fn sorted_partial(t: &FlowTable, spec: &KeySpec) -> Vec<(KeyBytes, u64)> {
         let mut rows: Vec<(KeyBytes, u64)> = t.query_partial(spec).into_iter().collect();
         rows.sort_unstable_by(|a, b| a.0.as_slice().cmp(b.0.as_slice()));
         rows
+    }
+
+    /// The paper's six keys, the empty key, every source and
+    /// destination prefix length, and the two field-reordering
+    /// `(IP, port)` keys.
+    fn oracle_specs() -> Vec<KeySpec> {
+        let mut specs = KeySpec::PAPER_SIX.to_vec();
+        specs.push(KeySpec::EMPTY);
+        specs.extend((0..=32u8).map(KeySpec::src_prefix));
+        specs.extend((0..=32u8).map(|bits| KeySpec::src_dst_prefix(0, bits)));
+        specs.push(KeySpec::DST_IP_PORT);
+        specs.push(KeySpec::SRC_IP_PORT);
+        specs
+    }
+
+    /// Every sorted-answer path for one spec against the oracle.
+    fn assert_sorted_paths_match_oracle(t: &FlowTable, spec: &KeySpec) {
+        let want = sorted_partial(t, spec);
+        let proj = spec.projector(t.full_spec());
+        assert_eq!(t.entries_by(&proj), want, "entries_by {spec}");
+        assert_eq!(
+            t.query_all_entries(&[*spec]),
+            [want],
+            "query_all_entries {spec}"
+        );
+    }
+
+    #[test]
+    fn entries_by_matches_hash_map_oracle() {
+        let t = big_table(3_000);
+        for spec in oracle_specs() {
+            assert_sorted_paths_match_oracle(&t, &spec);
+        }
+        let empty = FlowTable::new(KeySpec::FIVE_TUPLE, vec![]);
+        for spec in oracle_specs() {
+            assert_sorted_paths_match_oracle(&empty, &spec);
+        }
+    }
+
+    #[test]
+    fn entries_by_sums_heavily_colliding_rows() {
+        // Few distinct field values and repeated full keys: most rows
+        // collide after projection, so long runs of equal images merge.
+        let full = KeySpec::FIVE_TUPLE;
+        let rows: Vec<(KeyBytes, u64)> = (0..4_000u32)
+            .map(|i| {
+                let ft = FiveTuple::new(
+                    0x0A00_0000 | (i % 3),
+                    0xC0A8_0000 | ((i / 3) % 2) << 8,
+                    (i % 5) as u16,
+                    443,
+                    if i % 2 == 0 { 6 } else { 17 },
+                );
+                (full.project(&ft), u64::from(i % 7) * 1_000_003 + 1)
+            })
+            .collect();
+        let t = FlowTable::new(full, rows);
+        for spec in oracle_specs() {
+            assert_sorted_paths_match_oracle(&t, &spec);
+        }
+        assert_eq!(t.entries_by(&KeySpec::SRC_IP.projector(&full)).len(), 3);
+    }
+
+    #[test]
+    fn query_all_entries_matches_oracle_on_spec_sets() {
+        // Whole sets, so roots, rollups, re-sorting rollups and
+        // duplicate specs all answer in one call.
+        let t = big_table(2_500);
+        let mut sets = vec![KeySpec::PAPER_SIX.to_vec(), oracle_specs()];
+        sets.push(
+            (0..=32u8)
+                .rev()
+                .map(|b| KeySpec::src_dst_prefix(0, b))
+                .collect(),
+        );
+        sets.push(vec![
+            KeySpec::SRC_IP_PORT,
+            KeySpec::DST_IP_PORT,
+            KeySpec::SRC_IP_PORT,
+            KeySpec::DST_IP,
+            KeySpec::EMPTY,
+        ]);
+        for specs in sets {
+            let want: Vec<_> = specs.iter().map(|s| sorted_partial(&t, s)).collect();
+            assert_eq!(t.query_all_entries(&specs), want, "{specs:?}");
+        }
     }
 
     #[test]
@@ -778,7 +914,7 @@ mod tests {
         assert_eq!(got, expect);
         // The field-reordering (re-sort) path in entry shape too.
         let specs = [KeySpec::SRC_DST, KeySpec::DST_IP, KeySpec::EMPTY];
-        let got = t.query_rollup_entries(&specs, 1);
+        let got = t.query_rollup_entries(&specs);
         let expect: Vec<_> = specs.iter().map(|s| sorted_partial(&t, s)).collect();
         assert_eq!(got, expect);
     }

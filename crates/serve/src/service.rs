@@ -8,15 +8,21 @@
 //! reader method takes `&self`, never blocks the publisher, and
 //! answers from a sealed, immutable epoch snapshot, so an answer is
 //! bit-identical to running the same query directly on that epoch's
-//! table (`tests` and the `qps` bench both assert this against
-//! [`FlowTable::query_all_entries`]).
+//! table (`tests` assert this against an independent hash-map
+//! aggregation, [`FlowTable::query_partial`] plus a byte sort; the
+//! `qps` bench against [`FlowTable::query_all_entries`]).
+//!
+//! Partial and window answers come from the same sort-based GROUP BY
+//! kernel as `query_all_entries` ([`FlowTable::entries_by`]), fed the
+//! projector from the shared [`ProjectorCache`]; a window folds the
+//! per-epoch sorted runs with a linear merge that sums equal keys.
 
 use crate::cache::{CacheStats, ProjectorCache};
 use crate::catalog::{catalog, CatalogWriter, SnapshotCatalog};
 use crate::sync::{AtomicU64, Ordering};
 use cocosketch::segment::SegmentMeta;
 use cocosketch::{DirReader, Epoch, FlowTable};
-use hashkit::{fast_map_with_capacity, FastMap};
+use std::cmp;
 use std::sync::Arc;
 use traffic::{KeyBytes, KeySpec};
 
@@ -194,13 +200,13 @@ impl Service {
     pub fn partial(&self, sel: Select, spec: &KeySpec) -> Option<Answer> {
         let epoch = self.snapshot(sel)?;
         let table = epoch.tables.first()?;
-        let mut groups = self.aggregate(table, spec)?;
+        let entries = self.entries(table, spec)?;
         Some(Answer {
             epoch: epoch.id,
             packets: epoch.packets,
             weight: epoch.weight,
             spec: *spec,
-            entries: sorted_entries(&mut groups),
+            entries,
         })
     }
 
@@ -275,7 +281,9 @@ impl Service {
         if lo > hi {
             return None;
         }
-        let mut groups: FastMap<KeyBytes, u64> = FastMap::default();
+        // The sorted merge of every contributing epoch's run so far, and
+        // the buffer the next merge writes into.
+        let (mut entries, mut spare) = (Vec::new(), Vec::new());
         let mut contributed = 0usize;
         let mut last_id = 0u64;
         let (mut packets, mut weight) = (0u64, 0u64);
@@ -289,10 +297,7 @@ impl Service {
             let Some(table) = epoch.tables.first() else {
                 continue;
             };
-            let level = self.aggregate(table, spec)?;
-            for (key, size) in level {
-                *groups.entry(key).or_insert(0) += size;
-            }
+            merge_run(&mut entries, &self.entries(table, spec)?, &mut spare);
             warm_served.push(id);
             contributed += 1;
             last_id = last_id.max(epoch.id);
@@ -316,10 +321,7 @@ impl Service {
                 let Some(table) = epoch.tables.first() else {
                     continue;
                 };
-                let level = self.aggregate(table, spec)?;
-                for (key, size) in level {
-                    *groups.entry(key).or_insert(0) += size;
-                }
+                merge_run(&mut entries, &self.entries(table, spec)?, &mut spare);
                 contributed += (meta.last - meta.first + 1) as usize;
                 last_id = last_id.max(meta.last);
                 packets += epoch.packets;
@@ -335,7 +337,7 @@ impl Service {
                 packets,
                 weight,
                 spec: *spec,
-                entries: sorted_entries(&mut groups),
+                entries,
             },
             contributed,
         ))
@@ -351,50 +353,79 @@ impl Service {
         }
     }
 
-    /// `GROUP BY spec` over one table through the shared projector
-    /// cache — the service's hot loop. Matches
-    /// [`FlowTable::query_partial`]'s aggregation exactly (same
-    /// projector output, same u64 sums), so sorting the groups yields
-    /// [`FlowTable::query_all_entries`]'s rows bit-for-bit.
-    // LINT: hot
-    fn aggregate(&self, table: &FlowTable, spec: &KeySpec) -> Option<FastMap<KeyBytes, u64>> {
+    /// `GROUP BY spec` over one table as key-sorted entries, through
+    /// the shared projector cache and [`FlowTable::entries_by`] — the
+    /// kernel behind [`FlowTable::query_all_entries`], so the rows are
+    /// its rows bit for bit. `None` when `spec` is not a partial key of
+    /// the table's full key.
+    fn entries(&self, table: &FlowTable, spec: &KeySpec) -> Option<Vec<(KeyBytes, u64)>> {
         let full = table.full_spec();
         if !spec.is_partial_of(full) {
             return None;
         }
-        let proj = self.projectors.projector(full, spec);
-        let hint = {
-            let bits = spec.cardinality_bits();
-            if bits >= usize::BITS - 1 {
-                table.len()
-            } else {
-                table.len().min(1usize << bits)
-            }
-        };
-        let mut groups: FastMap<KeyBytes, u64> = fast_map_with_capacity(hint);
-        let mut scratch = KeyBytes::EMPTY;
-        for (full_key, size) in table.rows() {
-            proj.project_into(full_key, &mut scratch);
-            *groups.entry(scratch).or_insert(0) += size;
-        }
-        Some(groups)
+        Some(table.entries_by(&self.projectors.projector(full, spec)))
     }
 }
 
-/// Drain a group map into the sorted-entry shape
-/// ([`FlowTable::query_all_entries`]'s comparator: lexicographic key
-/// bytes; keys are unique, so the order is total and deterministic).
-fn sorted_entries(groups: &mut FastMap<KeyBytes, u64>) -> Vec<(KeyBytes, u64)> {
-    let mut entries: Vec<(KeyBytes, u64)> = groups.drain().collect();
-    entries.sort_unstable_by(|a, b| a.0.as_slice().cmp(b.0.as_slice()));
-    entries
+/// Merge the key-sorted `run` into the key-sorted `acc`, summing the
+/// sizes of keys present in both. All keys of one spec share a length,
+/// so comparing integer images ([`KeyBytes::sort_key`]) is comparing
+/// key bytes. The merge is written into `spare`, which then swaps
+/// with `acc`, so a window's folds reuse two buffers instead of
+/// allocating a new one per epoch.
+fn merge_run(
+    acc: &mut Vec<(KeyBytes, u64)>,
+    run: &[(KeyBytes, u64)],
+    spare: &mut Vec<(KeyBytes, u64)>,
+) {
+    spare.clear();
+    spare.reserve(acc.len() + run.len());
+    let (mut a, mut b) = (acc.iter().peekable(), run.iter().peekable());
+    while let (Some(&&(ka, sa)), Some(&&(kb, sb))) = (a.peek(), b.peek()) {
+        match ka.sort_key().cmp(&kb.sort_key()) {
+            cmp::Ordering::Less => {
+                spare.push((ka, sa));
+                a.next();
+            }
+            cmp::Ordering::Greater => {
+                spare.push((kb, sb));
+                b.next();
+            }
+            cmp::Ordering::Equal => {
+                spare.push((ka, sa + sb));
+                a.next();
+                b.next();
+            }
+        }
+    }
+    spare.extend(a);
+    spare.extend(b);
+    std::mem::swap(acc, spare);
 }
 
 #[cfg(test)]
 #[cfg(not(feature = "loom"))]
 mod tests {
     use super::*;
+    use hashkit::FastMap;
     use traffic::FiveTuple;
+
+    /// The independent oracle for every served answer: a hash-map
+    /// GROUP BY ([`FlowTable::query_partial`]) per table, summed across
+    /// `tables` in another hash map, then sorted by slice `memcmp`. It
+    /// shares no code with the sort-based kernel the service answers
+    /// from.
+    fn oracle(tables: &[&FlowTable], spec: &KeySpec) -> Vec<(KeyBytes, u64)> {
+        let mut groups: FastMap<KeyBytes, u64> = FastMap::default();
+        for table in tables {
+            for (key, size) in table.query_partial(spec) {
+                *groups.entry(key).or_insert(0) += size;
+            }
+        }
+        let mut rows: Vec<(KeyBytes, u64)> = groups.into_iter().collect();
+        rows.sort_unstable_by(|a, b| a.0.as_slice().cmp(b.0.as_slice()));
+        rows
+    }
 
     fn epoch(id: u64, rows: u32, salt: u32) -> Epoch {
         let full = KeySpec::FIVE_TUPLE;
@@ -428,8 +459,11 @@ mod tests {
         let (mut publisher, svc) = service(4);
         publisher.publish_epoch(epoch(0, 500, 3));
         let held = svc.snapshot(Select::Id(0)).unwrap();
-        for spec in KeySpec::PAPER_SIX {
+        let mut specs = KeySpec::PAPER_SIX.to_vec();
+        specs.extend([KeySpec::EMPTY, KeySpec::src_prefix(20)]);
+        for spec in specs {
             let served = svc.partial(Select::Id(0), &spec).unwrap();
+            assert_eq!(served.entries, oracle(&[held.primary()], &spec), "{spec:?}");
             let direct = held.primary().query_all_entries(&[spec]);
             assert_eq!(served.entries, direct[0], "{spec:?}");
             assert_eq!(served.epoch, 0);
@@ -442,7 +476,7 @@ mod tests {
         publisher.publish_epoch(epoch(0, 400, 11));
         let held = svc.snapshot(Select::Latest).unwrap();
         let specs = [KeySpec::SRC_DST, KeySpec::SRC_IP, KeySpec::EMPTY];
-        let direct = held.primary().query_all_entries(&specs);
+        let direct: Vec<_> = specs.iter().map(|s| oracle(&[held.primary()], s)).collect();
 
         let served = svc.multi(Select::Latest, &specs, 0).unwrap();
         for (ans, want) in served.iter().zip(&direct) {
@@ -471,15 +505,11 @@ mod tests {
         let (answer, contributed) = svc.window(0, 2, &spec).unwrap();
         assert_eq!(contributed, 3);
         assert_eq!(answer.epoch, 2);
-        // Reference: merge the three direct per-epoch answers.
-        let mut expect: FastMap<KeyBytes, u64> = FastMap::default();
-        for id in 0..3 {
-            let e = svc.snapshot(Select::Id(id)).unwrap();
-            for (k, s) in &e.primary().query_all_entries(&[spec])[0] {
-                *expect.entry(*k).or_insert(0) += s;
-            }
-        }
-        assert_eq!(answer.entries, sorted_entries(&mut expect));
+        let held: Vec<_> = (0..3)
+            .map(|id| svc.snapshot(Select::Id(id)).unwrap())
+            .collect();
+        let tables: Vec<&FlowTable> = held.iter().map(|e| e.primary()).collect();
+        assert_eq!(answer.entries, oracle(&tables, &spec));
         // Ranges clipped to retention still answer.
         let (_, n) = svc.window(1, 99, &spec).unwrap();
         assert_eq!(n, 2);
@@ -525,32 +555,30 @@ mod tests {
         let (mut dir, _) = EpochDir::open(&root).unwrap();
         let (mut publisher, svc) = service_with_cold(2, DirReader::new(&root));
         let spec = KeySpec::SRC_IP;
-        let mut direct = Vec::new();
+        let mut sealed = Vec::new();
         for id in 0..5u64 {
             let e = epoch(id, 150, id as u32 * 7);
             dir.append(&e).unwrap();
-            direct.push(e.primary().query_all_entries(&[spec])[0].clone());
+            sealed.push(e.clone());
             publisher.publish_epoch(e);
         }
+        let tables: Vec<&FlowTable> = sealed.iter().map(|e| e.primary()).collect();
         assert_eq!(svc.info().ids, Some((3, 4)), "catalog holds the last 2");
         // Every id answers — warm from the catalog, cold from disk —
         // and cold answers match the pre-eviction direct scans exactly.
         for id in 0..5u64 {
             let ans = svc.partial(Select::Id(id), &spec).unwrap();
-            assert_eq!(ans.entries, direct[id as usize], "epoch {id}");
+            assert_eq!(
+                ans.entries,
+                oracle(&tables[id as usize..=id as usize], &spec)
+            );
             assert_eq!(ans.epoch, id);
         }
         assert!(svc.partial(Select::Id(9), &spec).is_none());
         // A window spanning both tiers sums all five epochs.
         let (answer, contributed) = svc.window(0, 4, &spec).unwrap();
         assert_eq!(contributed, 5);
-        let mut expect: FastMap<KeyBytes, u64> = FastMap::default();
-        for entries in &direct {
-            for (k, s) in entries {
-                *expect.entry(*k).or_insert(0) += s;
-            }
-        }
-        assert_eq!(answer.entries, sorted_entries(&mut expect));
+        assert_eq!(answer.entries, oracle(&tables, &spec));
         std::fs::remove_dir_all(&root).ok();
     }
 
@@ -561,12 +589,13 @@ mod tests {
         std::fs::remove_dir_all(&root).ok();
         let (mut dir, _) = EpochDir::open(&root).unwrap();
         let spec = KeySpec::SRC_IP;
-        let mut direct = Vec::new();
+        let mut sealed = Vec::new();
         for id in 0..6u64 {
             let e = epoch(id, 120, id as u32 * 13);
-            direct.push(e.primary().query_all_entries(&[spec])[0].clone());
             dir.append(&e).unwrap();
+            sealed.push(e);
         }
+        let tables: Vec<&FlowTable> = sealed.iter().map(|e| e.primary()).collect();
         // Horizon = 5 - 1 = 4: ids 0..=3 fold into buckets [0-1] and
         // [2-3]; 4 and 5 stay single-epoch segments.
         dir.compact(&CompactionPolicy {
@@ -582,24 +611,91 @@ mod tests {
         let (answer, contributed) = svc.window(0, 5, &spec).unwrap();
         assert_eq!(contributed, 6, "buckets count their whole span");
         assert_eq!(answer.epoch, 5);
-        let mut expect: FastMap<KeyBytes, u64> = FastMap::default();
-        for entries in &direct {
-            for (k, s) in entries {
-                *expect.entry(*k).or_insert(0) += s;
-            }
-        }
-        assert_eq!(answer.entries, sorted_entries(&mut expect));
+        assert_eq!(answer.entries, oracle(&tables, &spec));
         // A range that splits a bucket serves what it can; the
         // excluded straddling bucket shows up as missing coverage.
         let (partial_ans, n) = svc.window(1, 5, &spec).unwrap();
         assert_eq!(n, 4, "bucket [2-3] plus singles 4, 5; [0-1] straddles");
-        let mut expect: FastMap<KeyBytes, u64> = FastMap::default();
-        for entries in &direct[2..] {
-            for (k, s) in entries {
-                *expect.entry(*k).or_insert(0) += s;
-            }
+        assert_eq!(partial_ans.entries, oracle(&tables[2..], &spec));
+        assert_eq!(svc.info().cold_errors, 0);
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    /// An epoch whose table holds two rows per source IP in `srcs`
+    /// (different destinations and ports), so coarse keys collide.
+    fn epoch_of_sources(id: u64, srcs: std::ops::RangeInclusive<u32>) -> Epoch {
+        let full = KeySpec::FIVE_TUPLE;
+        let rows: Vec<(KeyBytes, u64)> = srcs
+            .flat_map(|src| {
+                [(7, 80), (9, 443)].map(|(dst, port)| {
+                    let ft = FiveTuple::new(src, dst, (src % 5) as u16, port, 6);
+                    (full.project(&ft), u64::from(src % 13 + dst))
+                })
+            })
+            .collect();
+        let weight = rows.iter().map(|&(_, s)| s).sum();
+        Epoch {
+            id,
+            packets: rows.len() as u64,
+            weight,
+            tables: vec![FlowTable::new(full, rows)],
         }
-        assert_eq!(partial_ans.entries, sorted_entries(&mut expect));
+    }
+
+    #[test]
+    fn window_merges_sorted_runs_across_tiers() {
+        use cocosketch::segment::{CompactionPolicy, EpochDir};
+        let root = std::env::temp_dir().join(format!("serve-win-runs-{}", std::process::id()));
+        std::fs::remove_dir_all(&root).ok();
+        let (mut dir, _) = EpochDir::open(&root).unwrap();
+        let sealed = [
+            // Cold, compacted into bucket [0-1]: sources 1..=60 appear
+            // in no other epoch, and 21..=40 overlap inside the bucket.
+            epoch_of_sources(0, 1..=40),
+            epoch_of_sources(1, 21..=60),
+            // Cold single segment with a key set disjoint from all.
+            epoch_of_sources(2, 100..=140),
+            // Warm, with an empty table.
+            Epoch {
+                id: 3,
+                packets: 0,
+                weight: 0,
+                tables: vec![FlowTable::new(KeySpec::FIVE_TUPLE, vec![])],
+            },
+            // Warm, disjoint from the cold epochs, overlapping each other.
+            epoch_of_sources(4, 200..=260),
+            epoch_of_sources(5, 230..=300),
+        ];
+        for e in &sealed {
+            dir.append(e).unwrap();
+        }
+        dir.compact(&CompactionPolicy {
+            bucket: 2,
+            keep_recent: 3,
+        })
+        .unwrap();
+        assert_eq!(dir.len(), 5, "bucket [0-1] plus singles 2..=5");
+        let (mut publisher, svc) = service_with_cold(3, DirReader::new(&root));
+        for e in &sealed {
+            publisher.publish_epoch(e.clone());
+        }
+        assert_eq!(svc.info().ids, Some((3, 5)));
+        let tables: Vec<&FlowTable> = sealed.iter().map(|e| e.primary()).collect();
+        let mut specs = KeySpec::PAPER_SIX.to_vec();
+        specs.extend([KeySpec::EMPTY, KeySpec::src_prefix(28)]);
+        for spec in specs {
+            let (answer, contributed) = svc.window(0, 5, &spec).unwrap();
+            assert_eq!(contributed, 6, "{spec:?}");
+            assert_eq!(answer.entries, oracle(&tables, &spec), "{spec:?}");
+            assert_eq!(answer.weight, tables.iter().map(|t| t.total()).sum::<u64>());
+            // The straddled bucket drops out; the rest still merges.
+            let (answer, contributed) = svc.window(1, 5, &spec).unwrap();
+            assert_eq!(contributed, 4, "{spec:?}");
+            assert_eq!(answer.entries, oracle(&tables[2..], &spec), "{spec:?}");
+            // A window of only the empty epoch answers with no rows.
+            let (answer, contributed) = svc.window(3, 3, &spec).unwrap();
+            assert_eq!((contributed, answer.entries.len()), (1, 0));
+        }
         assert_eq!(svc.info().cold_errors, 0);
         std::fs::remove_dir_all(&root).ok();
     }

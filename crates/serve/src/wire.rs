@@ -250,8 +250,9 @@ impl Response {
     pub fn encode(&self) -> Vec<u8> {
         match self {
             Response::Answer(e) => {
-                let mut out = vec![ST_ANSWER];
-                out.extend_from_slice(&epoch::encode(e));
+                let mut out = Vec::with_capacity(1 + epoch::encoded_len(e));
+                out.push(ST_ANSWER);
+                epoch::encode_into(e, &mut out);
                 out
             }
             Response::Error(msg) => {
@@ -496,14 +497,30 @@ impl Server {
     /// concurrent connections scale with cores. Returns the number of
     /// connections served.
     pub fn run(self, service: Arc<Service>) -> io::Result<usize> {
+        self.run_counted(service).map(|(served, _)| served)
+    }
+
+    /// [`run`](Self::run), also returning the most connection-thread
+    /// handles held at once. Every pass of the accept loop joins the
+    /// threads whose connection has ended, so that count tracks live
+    /// connections, not every connection since the server started.
+    fn run_counted(self, service: Arc<Service>) -> io::Result<(usize, usize)> {
         match &self.listener {
             Listener::Tcp(l) => l.set_nonblocking(true)?,
             Listener::Unix(l) => l.set_nonblocking(true)?,
         }
         let stop = Arc::new(AtomicBool::new(false));
-        let mut workers = Vec::new();
-        let mut served = 0usize;
+        let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
+        let (mut served, mut peak_workers) = (0usize, 0usize);
         while !stop.load(Ordering::Acquire) {
+            let mut i = 0;
+            while let Some(worker) = workers.get(i) {
+                if worker.is_finished() {
+                    let _ = workers.swap_remove(i).join();
+                } else {
+                    i += 1;
+                }
+            }
             let accepted = match &self.listener {
                 Listener::Tcp(l) => match l.accept() {
                     Ok((s, _)) => {
@@ -536,6 +553,7 @@ impl Server {
                         // framing) end that connection only.
                         let _ = serve_connection(stream, &service, &stop);
                     }));
+                    peak_workers = peak_workers.max(workers.len());
                 }
                 // Poll-accept: cheap (one syscall per 500µs while
                 // idle) and keeps shutdown prompt without signals.
@@ -548,7 +566,7 @@ impl Server {
         if let Some(path) = self.addr.strip_prefix("unix:") {
             let _ = std::fs::remove_file(path);
         }
-        Ok(served)
+        Ok((served, peak_workers))
     }
 }
 
@@ -807,6 +825,33 @@ mod tests {
         client.shutdown().unwrap();
         join.join().unwrap();
         assert!(!path.exists(), "socket file cleaned up");
+    }
+
+    #[test]
+    fn finished_connection_threads_are_reaped() {
+        let path = std::env::temp_dir().join(format!("serve-reap-{}.sock", std::process::id()));
+        let addr = format!("unix:{}", path.display());
+        let (mut publisher, svc) = service(1);
+        publish_demo(&mut publisher, 0, 16);
+        let server = Server::bind(&addr).unwrap();
+        let join = std::thread::spawn(move || server.run_counted(svc).unwrap());
+
+        const CYCLES: usize = 300;
+        for _ in 0..CYCLES {
+            let mut client = connect(&addr).unwrap();
+            assert_eq!(client.info().unwrap().epochs, 1);
+        }
+        connect(&addr).unwrap().shutdown().unwrap();
+        let (served, peak_workers) = join.join().unwrap();
+        assert_eq!(served, CYCLES + 1);
+        // Without reaping the server would hold all CYCLES + 1 handles.
+        // A closed connection's thread exits within moments, so only
+        // the few still winding down when the next client arrives are
+        // held; the bound leaves room for a slow scheduler.
+        assert!(
+            peak_workers <= 16,
+            "{peak_workers} connection handles held at once after {CYCLES} sequential clients"
+        );
     }
 
     #[test]

@@ -11,6 +11,9 @@ use std::net::Ipv4Addr;
 /// payload.
 pub const MAX_KEY_BYTES: usize = 16;
 
+// `KeyBytes::sort_key` packs the whole key buffer into one `u128`.
+const _: () = assert!(MAX_KEY_BYTES == 16, "sort_key needs a 16-byte key buffer");
+
 /// A compact, fixed-capacity encoded flow key.
 ///
 /// Sketches store these directly in their bucket arrays: the type is
@@ -99,6 +102,40 @@ impl KeyBytes {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// The key's zero-padded buffer read as one big-endian integer.
+    ///
+    /// For keys of **equal length**, comparing sort keys orders them
+    /// exactly as comparing [`as_slice`](Self::as_slice) does: the
+    /// payload bytes are the integer's leading bytes and the zero tail
+    /// is the same for both. Sorting on this integer replaces a slice
+    /// `memcmp` per comparison with one 128-bit compare. Keys of
+    /// different lengths need their length compared as well.
+    #[inline]
+    pub fn sort_key(&self) -> u128 {
+        u128::from_be_bytes(self.buf)
+    }
+
+    /// The key of `len` bytes whose [`sort_key`](Self::sort_key) is
+    /// `image`; `from_sort_key(k.sort_key(), k.len()) == k` for every
+    /// key. Bits of `image` past `len` bytes are cleared, so the
+    /// zero-tail invariant holds for any input.
+    ///
+    /// # Panics
+    /// Panics if `len > MAX_KEY_BYTES`, like [`new`](Self::new).
+    #[inline]
+    pub fn from_sort_key(image: u128, len: usize) -> Self {
+        assert!(
+            len <= MAX_KEY_BYTES,
+            "key of {len} bytes exceeds MAX_KEY_BYTES"
+        );
+        let tail_bits = 8 * (MAX_KEY_BYTES - len) as u32;
+        let mask = u128::MAX.checked_shl(tail_bits).unwrap_or(0);
+        Self {
+            len: len as u8,
+            buf: (image & mask).to_be_bytes(),
+        }
     }
 }
 
@@ -210,6 +247,59 @@ mod tests {
     #[should_panic(expected = "exceeds MAX_KEY_BYTES")]
     fn oversized_key_panics() {
         let _ = KeyBytes::new(&[0u8; MAX_KEY_BYTES + 1]);
+    }
+
+    /// Keys of one length drawn from a small byte alphabet, so ties,
+    /// shared prefixes and zero bytes all occur.
+    fn keys_of_len(len: usize) -> Vec<KeyBytes> {
+        let mut x = 0x2545_F491_4F6C_DD1Du64 ^ len as u64;
+        (0..200)
+            .map(|_| {
+                let bytes: Vec<u8> = (0..len)
+                    .map(|_| {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        [0x00, 0x01, 0x7F, 0x80, 0xFF][(x % 5) as usize]
+                    })
+                    .collect();
+                KeyBytes::new(&bytes)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sort_key_orders_like_bytes_and_round_trips() {
+        for len in 0..=MAX_KEY_BYTES {
+            let keys = keys_of_len(len);
+            for a in &keys {
+                assert_eq!(KeyBytes::from_sort_key(a.sort_key(), a.len()), *a);
+                for b in &keys {
+                    assert_eq!(
+                        a.sort_key().cmp(&b.sort_key()),
+                        a.as_slice().cmp(b.as_slice()),
+                        "{a:?} vs {b:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn from_sort_key_clears_bits_past_len() {
+        let k = KeyBytes::from_sort_key(u128::MAX, 3);
+        assert_eq!(k, KeyBytes::new(&[0xFF; 3]));
+        assert_eq!(KeyBytes::from_sort_key(u128::MAX, 0), KeyBytes::EMPTY);
+        assert_eq!(
+            KeyBytes::from_sort_key(u128::MAX, MAX_KEY_BYTES),
+            KeyBytes::new(&[0xFF; MAX_KEY_BYTES])
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds MAX_KEY_BYTES")]
+    fn from_sort_key_rejects_oversized_len() {
+        let _ = KeyBytes::from_sort_key(0, MAX_KEY_BYTES + 1);
     }
 
     #[test]

@@ -193,7 +193,7 @@ proptest! {
         let base: Vec<_> = hierarchy.iter().map(|sp| table.query_partial(sp)).collect();
         prop_assert_eq!(&table.query_rollup(&hierarchy), &base, "rollup (maps)");
         prop_assert_eq!(&table.query_rollup_threads(&hierarchy, threads), &base, "rollup (threads)");
-        let entries = table.query_rollup_entries(&hierarchy, threads);
+        let entries = table.query_rollup_entries(&hierarchy);
         for ((level, map), spec) in entries.iter().zip(&base).zip(&hierarchy) {
             prop_assert!(
                 level.windows(2).all(|w| w[0].0.as_slice() < w[1].0.as_slice()),
@@ -204,6 +204,51 @@ proptest! {
                 prop_assert_eq!(map.get(&k), Some(&v), "level {} key {:?}", spec, k);
             }
         }
+    }
+
+    #[test]
+    fn sorted_answers_match_hash_map_oracle(stream in arb_stream(), seed in any::<u64>()) {
+        // The sort-based GROUP BY kernel (`entries_by`, and
+        // `query_all_entries` built on it) against an oracle sharing
+        // no code with it: the hash-map `query_partial` plus a slice
+        // `memcmp` sort. Specs: the paper's six, the empty key, every
+        // source and destination prefix, and the field-reordering
+        // (IP, port) keys.
+        let full = KeySpec::FIVE_TUPLE;
+        let mut s = BasicCocoSketch::new(2, 16, full.key_bytes(), seed);
+        for (flow, w) in &stream {
+            s.update(&full.project(flow), *w);
+        }
+        let table = FlowTable::new(full, s.records());
+        let mut specs = KeySpec::PAPER_SIX.to_vec();
+        specs.push(KeySpec::EMPTY);
+        specs.extend((0..=32u8).map(KeySpec::src_prefix));
+        specs.extend((0..=32u8).map(|bits| KeySpec::src_dst_prefix(0, bits)));
+        specs.push(KeySpec::DST_IP_PORT);
+        specs.push(KeySpec::SRC_IP_PORT);
+        let oracle: Vec<Vec<(KeyBytes, u64)>> = specs
+            .iter()
+            .map(|sp| {
+                let mut rows: Vec<_> = table.query_partial(sp).into_iter().collect();
+                rows.sort_unstable_by(|a, b| a.0.as_slice().cmp(b.0.as_slice()));
+                rows
+            })
+            .collect();
+        for (sp, want) in specs.iter().zip(&oracle) {
+            prop_assert_eq!(&table.entries_by(&sp.projector(&full)), want, "entries_by {}", sp);
+        }
+        prop_assert_eq!(&table.query_all_entries(&specs), &oracle, "query_all_entries");
+    }
+
+    #[test]
+    fn sort_key_orders_equal_length_keys_like_bytes(
+        a in prop::collection::vec(any::<u8>(), 0..17),
+        b in prop::collection::vec(any::<u8>(), 0..17),
+    ) {
+        let len = a.len().min(b.len());
+        let (a, b) = (KeyBytes::new(&a[..len]), KeyBytes::new(&b[..len]));
+        prop_assert_eq!(a.sort_key().cmp(&b.sort_key()), a.as_slice().cmp(b.as_slice()));
+        prop_assert_eq!(KeyBytes::from_sort_key(a.sort_key(), a.len()), a);
     }
 
     #[test]
